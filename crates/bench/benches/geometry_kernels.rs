@@ -5,11 +5,11 @@
 //! directly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use uv_core::index::check_overlap;
-use uv_core::PossibleRegion;
+use uv_core::index::{check_overlap, OverlapConstraints};
+use uv_core::{Method, PossibleRegion, UvConfig, UvSystem};
 use uv_data::{
-    qualification_probabilities, EntryArena, KernelArena, ObjectEntry, QuadratureScratch,
-    ScreenScratch, UncertainObject,
+    qualification_probabilities, Dataset, DatasetKind, EntryArena, GeneratorConfig, KernelArena,
+    ObjectEntry, QuadratureScratch, ScreenScratch, UncertainObject,
 };
 use uv_geom::{convex_hull, Circle, ClipScratch, Point, Rect};
 
@@ -90,6 +90,52 @@ fn bench_check_overlap(c: &mut Criterion) {
     });
 }
 
+/// Phase B's per-member split test on a dense-line subject: four scalar
+/// `check_overlap` calls (one per quadrant) against one fused
+/// `OverlapConstraints::overlaps_quadrants` call. The subject is the object
+/// of the 1,500-object Rrlines stand-in (Table II seed) whose reference set
+/// is closest to the mean size; the region is a leaf it belongs to.
+fn bench_check_overlap_quadrants(c: &mut Criterion) {
+    let ds = Dataset::generate(GeneratorConfig {
+        kind: DatasetKind::Rrlines,
+        ..GeneratorConfig::paper_uniform(1_500)
+    });
+    let system = UvSystem::build(
+        ds.objects.clone(),
+        ds.domain,
+        Method::IC,
+        UvConfig::default(),
+    )
+    .unwrap();
+    let refs = |o: &UncertainObject| system.object_state(o.id).unwrap().reference_ids();
+    let mean = ds.objects.iter().map(|o| refs(o).len()).sum::<usize>() / ds.objects.len();
+    let subject = ds
+        .objects
+        .iter()
+        .min_by_key(|o| refs(o).len().abs_diff(mean))
+        .unwrap();
+    let mbc = subject.mbc();
+    let crs: Vec<Circle> = refs(subject)
+        .iter()
+        .map(|r| ds.objects[*r as usize].mbc())
+        .collect();
+    let (region, _) = system
+        .index()
+        .leaves()
+        .find(|(_, ids)| ids.contains(&subject.id))
+        .unwrap();
+    let region = *region;
+    let quadrants = region.quadrants();
+    let constraints = OverlapConstraints::new(mbc, crs.iter().copied());
+    println!("check_overlap_quadrants: {} reference objects", crs.len());
+    c.bench_function("check_overlap_quadrants_scalar", |b| {
+        b.iter(|| std::hint::black_box(quadrants.map(|q| check_overlap(mbc, &crs, &q))))
+    });
+    c.bench_function("check_overlap_quadrants_fused", |b| {
+        b.iter(|| std::hint::black_box(constraints.overlaps_quadrants(&region)))
+    });
+}
+
 fn bench_probability(c: &mut Criterion) {
     let mut group = c.benchmark_group("qualification_probability");
     for &candidates in &[2usize, 8, 24] {
@@ -164,7 +210,7 @@ fn bench_fused_screen(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_region_clip, bench_convex_hull, bench_check_overlap, bench_probability,
-        bench_fused_screen
+    targets = bench_region_clip, bench_convex_hull, bench_check_overlap,
+        bench_check_overlap_quadrants, bench_probability, bench_fused_screen
 }
 criterion_main!(benches);

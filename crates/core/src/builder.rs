@@ -23,9 +23,10 @@
 use crate::cell::build_exact_cell;
 use crate::config::UvConfig;
 use crate::crobjects::{derive_cr_objects, UpdateSensitivity};
-use crate::index::{check_overlap, GridNode, UvIndex};
+use crate::index::{GridNode, OverlapConstraints, UvIndex};
 use crate::stats::{ConstructionStats, PruneStats};
 use crate::update::{ObjectState, RefTable};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -132,16 +133,7 @@ pub(crate) fn build_uv_index_full(
             )
         })
         .collect();
-    let mbcs: HashMap<ObjectId, Circle> = objects.iter().map(|o| (o.id, o.mbc())).collect();
-    let entries: HashMap<ObjectId, ObjectEntry> = objects
-        .iter()
-        .map(|o| (o.id, ObjectEntry::new(o, object_store.ptr_of(o.id))))
-        .collect();
-    let ctx = GridCtx {
-        mbcs: &mbcs,
-        entries: &entries,
-        states: &ref_table,
-    };
+    let ctx = GridCtx::new(objects, object_store, &ref_table);
     let mut root_members: Vec<ObjectId> = objects.iter().map(|o| o.id).collect();
     root_members.sort_unstable();
     root_members.retain(|id| ctx.overlaps(*id, &domain));
@@ -297,24 +289,75 @@ pub(crate) fn derive_subset(
     results
 }
 
-/// Read-only context for overlap tests and leaf-page construction: current
-/// MBCs, leaf entries and reference sets of every live object.
+/// Context for overlap tests and leaf-page construction over the live
+/// objects of one grow or repair pass, held in ascending id order: each
+/// object's MBC, its leaf entry and its Algorithm 5 constraints. An object's
+/// constraints are resolved from its reference set on first use and then
+/// reused by every node that tests it, so an overlap test neither hashes nor
+/// allocates, and a repair pays only for the objects it touches.
 pub(crate) struct GridCtx<'a> {
-    pub(crate) mbcs: &'a HashMap<ObjectId, Circle>,
-    pub(crate) entries: &'a HashMap<ObjectId, ObjectEntry>,
-    pub(crate) states: &'a RefTable,
+    ids: Vec<ObjectId>,
+    mbcs: Vec<Circle>,
+    entries: Vec<ObjectEntry>,
+    constraints: Vec<OnceCell<OverlapConstraints>>,
+    states: &'a RefTable,
 }
 
-impl GridCtx<'_> {
+impl<'a> GridCtx<'a> {
+    /// The context over `objects` (leaf entries point into `object_store`)
+    /// indexed under the reference sets of `states`.
+    pub(crate) fn new(
+        objects: &[UncertainObject],
+        object_store: &ObjectStore,
+        states: &'a RefTable,
+    ) -> Self {
+        let mut sorted: Vec<&UncertainObject> = objects.iter().collect();
+        sorted.sort_unstable_by_key(|o| o.id);
+        Self {
+            ids: sorted.iter().map(|o| o.id).collect(),
+            mbcs: sorted.iter().map(|o| o.mbc()).collect(),
+            entries: sorted
+                .iter()
+                .map(|o| ObjectEntry::new(o, object_store.ptr_of(o.id)))
+                .collect(),
+            constraints: sorted.iter().map(|_| OnceCell::new()).collect(),
+            states,
+        }
+    }
+
+    fn slot(&self, id: ObjectId) -> usize {
+        self.ids
+            .binary_search(&id)
+            .unwrap_or_else(|_| panic!("object {id} is not live"))
+    }
+
+    /// The Algorithm 5 constraints of `id`: its MBC and the MBCs of its live
+    /// references, in reference order.
+    fn constraints(&self, id: ObjectId) -> &OverlapConstraints {
+        let slot = self.slot(id);
+        self.constraints[slot].get_or_init(|| {
+            let refs = self.states[&id]
+                .reference_ids
+                .iter()
+                .filter_map(|r| self.ids.binary_search(r).ok())
+                .map(|s| self.mbcs[s]);
+            OverlapConstraints::new(self.mbcs[slot], refs)
+        })
+    }
+
+    /// The leaf entry of `id`.
+    pub(crate) fn entry(&self, id: ObjectId) -> ObjectEntry {
+        self.entries[self.slot(id)]
+    }
+
     /// Algorithm 5 via the reference objects of `id`.
     pub(crate) fn overlaps(&self, id: ObjectId, region: &Rect) -> bool {
-        let subject = self.mbcs[&id];
-        let crs: Vec<Circle> = self.states[&id]
-            .reference_ids
-            .iter()
-            .filter_map(|r| self.mbcs.get(r).copied())
-            .collect();
-        check_overlap(subject, &crs, region)
+        self.constraints(id).overlaps(region)
+    }
+
+    /// Algorithm 5 for each of `region.quadrants()`, in one fused pass.
+    pub(crate) fn overlaps_quadrants(&self, id: ObjectId, region: &Rect) -> [bool; 4] {
+        self.constraints(id).overlaps_quadrants(region)
     }
 }
 
@@ -333,6 +376,13 @@ pub(crate) struct GrowStats {
     pub(crate) leaf_rects: Vec<Rect>,
 }
 
+/// A node whose region side has shrunk below this fraction of the domain
+/// side never splits, bounding the grid depth at ~20 regardless of the
+/// non-leaf budget. Like every split-rule input this is a pure function of
+/// the region, so the canonical structure stays reproducible by local
+/// repair.
+pub const MIN_LEAF_SIDE_FRACTION: f64 = 1.0 / (1 << 20) as f64;
+
 /// Algorithm 4 (`CheckSplit`), canonical form: returns the four quadrant
 /// member lists when `members` of `region` warrant a split — the member count
 /// exceeds the leaf capacity and the split fraction `theta` (smallest
@@ -341,13 +391,6 @@ pub(crate) struct GrowStats {
 /// denied split means (the builder degrades to an overflowing leaf, the
 /// updater repairs unbounded and replays the budget afterwards through
 /// [`reconcile_budget`]).
-/// A node whose region side has shrunk below this fraction of the domain
-/// side never splits, bounding the grid depth at ~20 regardless of the
-/// non-leaf budget. Like every split-rule input this is a pure function of
-/// the region, so the canonical structure stays reproducible by local
-/// repair.
-const MIN_LEAF_SIDE_FRACTION: f64 = 1.0 / (1 << 20) as f64;
-
 pub(crate) fn split_members(
     index: &UvIndex,
     ctx: &GridCtx<'_>,
@@ -363,12 +406,11 @@ pub(crate) fn split_members(
     {
         return None;
     }
-    let quadrants = region.quadrants();
     let mut parts: [Vec<ObjectId>; 4] = Default::default();
     for id in members {
-        for (k, quadrant) in quadrants.iter().enumerate() {
-            if ctx.overlaps(*id, quadrant) {
-                parts[k].push(*id);
+        for (part, inside) in parts.iter_mut().zip(ctx.overlaps_quadrants(*id, region)) {
+            if inside {
+                part.push(*id);
             }
         }
     }
@@ -555,7 +597,7 @@ pub(crate) fn make_leaf(
 ) {
     let mut list = PagedList::new(Arc::clone(&index.store));
     for id in &members {
-        list.push(ctx.entries[id]);
+        list.push(ctx.entry(*id));
     }
     list.seal();
     index.nodes[node] = GridNode::Leaf {
@@ -828,6 +870,59 @@ mod tests {
         for (_, ids) in index.leaves() {
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "unsorted leaf list");
         }
+    }
+
+    #[test]
+    fn grid_ctx_overlap_tests_match_check_overlap_on_dense_lines() {
+        // The per-object constraint table resolves each reference set
+        // (skipping references that are not live) exactly as the scalar
+        // path did through an id -> MBC map.
+        use crate::index::check_overlap;
+        use uv_data::DatasetKind;
+
+        let ds = Dataset::generate(GeneratorConfig {
+            kind: DatasetKind::Rrlines,
+            ..GeneratorConfig::paper_uniform(200)
+        });
+        let pages = Arc::new(PageStore::new());
+        let objects = ObjectStore::build(Arc::clone(&pages), &ds.objects);
+        let rtree = RTree::build(&ds.objects, &objects, pages);
+        let config = UvConfig::default().with_leaf_split_capacity(16);
+        let (index, _, mut states) = build_uv_index_full(
+            &ds.objects,
+            &objects,
+            &rtree,
+            ds.domain,
+            Arc::new(PageStore::new()),
+            Method::IC,
+            config,
+        )
+        .unwrap();
+        // A stale reference to an object that is not live is skipped.
+        states.get_mut(&0).unwrap().reference_ids.push(1_000_000);
+        let ctx = GridCtx::new(&ds.objects, &objects, &states);
+        let mbcs: HashMap<ObjectId, Circle> = ds.objects.iter().map(|o| (o.id, o.mbc())).collect();
+        let mut ruled_out = 0;
+        for o in ds.objects.iter().step_by(4) {
+            let crs: Vec<Circle> = states[&o.id]
+                .reference_ids
+                .iter()
+                .filter_map(|r| mbcs.get(r).copied())
+                .collect();
+            for (region, _) in index.leaves() {
+                assert_eq!(
+                    ctx.overlaps(o.id, region),
+                    check_overlap(o.mbc(), &crs, region)
+                );
+                let fused = ctx.overlaps_quadrants(o.id, region);
+                for (k, quadrant) in region.quadrants().iter().enumerate() {
+                    assert_eq!(fused[k], check_overlap(o.mbc(), &crs, quadrant));
+                    ruled_out += usize::from(!fused[k]);
+                }
+            }
+            assert_eq!(ctx.entry(o.id), ObjectEntry::new(o, objects.ptr_of(o.id)));
+        }
+        assert!(ruled_out > 0);
     }
 
     #[test]

@@ -49,6 +49,16 @@ pub(crate) enum GridNode {
     Free,
 }
 
+impl GridNode {
+    /// The id-sorted member list of a live node.
+    pub(crate) fn members(&self) -> &[ObjectId] {
+        match self {
+            GridNode::Internal { object_ids, .. } | GridNode::Leaf { object_ids, .. } => object_ids,
+            GridNode::Free => unreachable!("free nodes have no members"),
+        }
+    }
+}
+
 /// One leaf of [`UvIndex::canonical_leaves`]: the region's corner
 /// coordinates as raw `f64` bits plus the id-sorted member list.
 pub type CanonicalLeaf = ((u64, u64, u64, u64), Vec<ObjectId>);
@@ -425,6 +435,93 @@ pub fn check_overlap(subject: Circle, cr_objects: &[Circle], region: &Rect) -> b
         }
     }
     true
+}
+
+/// Index of the shared centre in the 3×3 probe grid of
+/// [`OverlapConstraints::overlaps_quadrants`] (row-major, `y` outer).
+const PROBE_CENTRE: usize = 4;
+
+/// Probe-grid indices of each quadrant's corners other than the centre, in
+/// [`Rect::quadrants`] order (SW, SE, NE, NW).
+const QUADRANT_PROBES: [[usize; 3]; 4] = [[0, 1, 3], [1, 2, 5], [5, 8, 7], [3, 7, 6]];
+
+/// The inputs of Algorithm 5 for one subject, prepared once and probed many
+/// times: the subject's MBC and the MBCs of its reference objects, in
+/// reference order, keeping only those whose outside region is non-empty.
+/// [`check_overlap`] skips the empty ones on every call, so dropping them up
+/// front leaves every answer unchanged; both probes below return exactly the
+/// booleans [`check_overlap`] returns.
+#[derive(Debug, Clone)]
+pub struct OverlapConstraints {
+    subject: Circle,
+    others: Box<[Circle]>,
+}
+
+impl OverlapConstraints {
+    /// Prepares the constraints of `subject` against `cr_objects`.
+    pub fn new(subject: Circle, cr_objects: impl IntoIterator<Item = Circle>) -> Self {
+        let others = cr_objects
+            .into_iter()
+            .filter(|other| !OutsideRegion::new(subject, *other).is_empty())
+            .collect();
+        Self { subject, others }
+    }
+
+    /// `true` when the outside region of `other` strictly contains probe
+    /// `p`, given `near = subject.dist_min(p)` — the same arithmetic as
+    /// [`OutsideRegion::contains`].
+    #[inline]
+    fn excludes(near: f64, other: &Circle, p: Point) -> bool {
+        near - other.dist_max(p) > 0.0
+    }
+
+    /// [`check_overlap`] of the subject against `region`.
+    pub fn overlaps(&self, region: &Rect) -> bool {
+        let corners = region.corners();
+        let near = corners.map(|p| self.subject.dist_min(p));
+        !self
+            .others
+            .iter()
+            .any(|other| (0..4).all(|k| Self::excludes(near[k], other, corners[k])))
+    }
+
+    /// [`check_overlap`] against each of `region.quadrants()`, in one pass
+    /// over the constraints. The four quadrants share a 3×3 grid of probe
+    /// points; its centre is a corner of every quadrant, so a constraint
+    /// whose outside region does not strictly contain the centre rules out
+    /// no quadrant and is skipped after one probe. The pass stops once all
+    /// four quadrants are ruled out.
+    ///
+    /// For a region with finite coordinates the grid holds exactly the
+    /// corners `Rect::quadrants` produces: both take the centre from
+    /// [`Rect::center`], and `Rect::new` only orders each coordinate pair,
+    /// which the 4-point test does not see.
+    pub fn overlaps_quadrants(&self, region: &Rect) -> [bool; 4] {
+        let c = region.center();
+        let xs = [region.min_x, c.x, region.max_x];
+        let ys = [region.min_y, c.y, region.max_y];
+        let probes: [Point; 9] = std::array::from_fn(|k| Point::new(xs[k % 3], ys[k / 3]));
+        let near = probes.map(|p| self.subject.dist_min(p));
+        let mut open = [true; 4];
+        for other in self.others.iter() {
+            if !Self::excludes(near[PROBE_CENTRE], other, probes[PROBE_CENTRE]) {
+                continue;
+            }
+            for (q, corners) in QUADRANT_PROBES.iter().enumerate() {
+                if open[q]
+                    && corners
+                        .iter()
+                        .all(|&k| Self::excludes(near[k], other, probes[k]))
+                {
+                    open[q] = false;
+                }
+            }
+            if open == [false; 4] {
+                break;
+            }
+        }
+        open
+    }
 }
 
 #[cfg(test)]

@@ -88,7 +88,7 @@ use crate::system::UvSystem;
 use crate::UvError;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use uv_data::{ObjectEntry, ObjectId, UncertainObject};
+use uv_data::{ObjectId, UncertainObject};
 use uv_geom::{Circle, Point, Rect};
 use uv_rtree::RTree;
 use uv_store::PageStore;
@@ -610,30 +610,11 @@ impl UvSystem {
         stats.objects_repartitioned = dirty.len() + inserted.len() + deleted.len();
 
         // ---- 9. Localized grid repair ------------------------------------
-        let mbcs: HashMap<ObjectId, Circle> =
-            self.objects.iter().map(|o| (o.id, o.mbc())).collect();
-        let entries: HashMap<ObjectId, ObjectEntry> = self
-            .objects
-            .iter()
-            .map(|o| (o.id, ObjectEntry::new(o, self.object_store.ptr_of(o.id))))
-            .collect();
-        let ctx = GridCtx {
-            mbcs: &mbcs,
-            entries: &entries,
-            states: &self.ref_table,
-        };
-        // Entries whose on-page bytes changed (MBC or record pointer): their
-        // leaves must rewrite pages even when membership is unchanged.
-        let entry_dirty: HashSet<ObjectId> = changed_set.clone();
+        let ctx = GridCtx::new(&self.objects, &self.object_store, &self.ref_table);
 
         // Root-level delta classification.
         let domain = self.domain;
-        let root_members: HashSet<ObjectId> = match &self.index.nodes[0] {
-            GridNode::Leaf { object_ids, .. } | GridNode::Internal { object_ids, .. } => {
-                object_ids.iter().copied().collect()
-            }
-            GridNode::Free => unreachable!("the root is never free"),
-        };
+        let root_members = self.index.nodes[0].members();
         let mut added_root: Vec<ObjectId> = Vec::new();
         let mut removed_root: Vec<ObjectId> = Vec::new();
         let mut changed_root: Vec<ObjectId> = Vec::new();
@@ -643,12 +624,15 @@ impl UvSystem {
             }
         }
         for id in &deleted {
-            if root_members.contains(id) {
+            if root_members.binary_search(id).is_ok() {
                 removed_root.push(*id);
             }
         }
         for id in &dirty {
-            match (root_members.contains(id), ctx.overlaps(*id, &domain)) {
+            match (
+                root_members.binary_search(id).is_ok(),
+                ctx.overlaps(*id, &domain),
+            ) {
                 (true, true) => changed_root.push(*id),
                 (true, false) => removed_root.push(*id),
                 (false, true) => added_root.push(*id),
@@ -659,7 +643,7 @@ impl UvSystem {
         let prev_budget_bound = self.index.budget_bound;
         let mut repairer = Repairer {
             ctx,
-            entry_dirty: &entry_dirty,
+            entry_dirty: &changed,
             grow: GrowStats::default(),
             merges: 0,
         };
@@ -795,10 +779,11 @@ pub(crate) fn validate_object(o: &UncertainObject) -> Result<(), UvError> {
 /// Merges a node's member list with its delta, keeping ascending id order
 /// (the canonical member order).
 fn merged_members(old: &[ObjectId], added: &[ObjectId], removed: &[ObjectId]) -> Vec<ObjectId> {
-    let gone: HashSet<ObjectId> = removed.iter().copied().collect();
+    let mut gone = removed.to_vec();
+    gone.sort_unstable();
     let mut out: Vec<ObjectId> = old
         .iter()
-        .filter(|id| !gone.contains(id))
+        .filter(|id| gone.binary_search(id).is_err())
         .copied()
         .collect();
     out.extend_from_slice(added);
@@ -812,7 +797,10 @@ fn merged_members(old: &[ObjectId], added: &[ObjectId], removed: &[ObjectId]) ->
 /// *this* node but whose entries or deeper membership may differ.
 struct Repairer<'a> {
     ctx: GridCtx<'a>,
-    entry_dirty: &'a HashSet<ObjectId>,
+    /// Id-sorted entries whose on-page bytes changed (MBC or record
+    /// pointer): their leaves must rewrite pages even when membership is
+    /// unchanged.
+    entry_dirty: &'a [ObjectId],
     grow: GrowStats,
     merges: usize,
 }
@@ -851,7 +839,11 @@ impl Repairer<'_> {
                         &mut self.grow,
                         &mut budget,
                     );
-                } else if list_changed || changed.iter().any(|id| self.entry_dirty.contains(id)) {
+                } else if list_changed
+                    || changed
+                        .iter()
+                        .any(|id| self.entry_dirty.binary_search(id).is_ok())
+                {
                     make_leaf(index, node, new_members, &self.ctx, &mut self.grow);
                 }
             }
@@ -867,37 +859,39 @@ impl Repairer<'_> {
                 let mut child_added: [Vec<ObjectId>; 4] = Default::default();
                 let mut child_removed: [Vec<ObjectId>; 4] = Default::default();
                 let mut child_changed: [Vec<ObjectId>; 4] = Default::default();
-                let mut new_counts = [0usize; 4];
-                for k in 0..4 {
-                    let child = children[k] as usize;
-                    let child_region = index.node_regions[child];
-                    let members: HashSet<ObjectId> = match &index.nodes[child] {
-                        GridNode::Leaf { object_ids, .. }
-                        | GridNode::Internal { object_ids, .. } => {
-                            object_ids.iter().copied().collect()
-                        }
-                        GridNode::Free => unreachable!("children are never free"),
-                    };
-                    for id in added {
-                        if self.ctx.overlaps(*id, &child_region) {
-                            child_added[k].push(*id);
-                        }
+                // Children are allocated on `region.quadrants()`, so one
+                // fused overlap test per id classifies it for all four.
+                debug_assert!(children
+                    .iter()
+                    .zip(region.quadrants())
+                    .all(|(c, q)| index.node_regions[*c as usize] == q));
+                let members = children.map(|c| index.nodes[c as usize].members());
+                let is_member = |k: usize, id: &ObjectId| members[k].binary_search(id).is_ok();
+                for id in added {
+                    let inside = self.ctx.overlaps_quadrants(*id, &region);
+                    for k in (0..4).filter(|&k| inside[k]) {
+                        child_added[k].push(*id);
                     }
-                    for id in removed {
-                        if members.contains(id) {
-                            child_removed[k].push(*id);
-                        }
+                }
+                for id in removed {
+                    for k in (0..4).filter(|&k| is_member(k, id)) {
+                        child_removed[k].push(*id);
                     }
-                    for id in changed {
-                        match (members.contains(id), self.ctx.overlaps(*id, &child_region)) {
+                }
+                for id in changed {
+                    let inside = self.ctx.overlaps_quadrants(*id, &region);
+                    for k in 0..4 {
+                        match (is_member(k, id), inside[k]) {
                             (true, true) => child_changed[k].push(*id),
                             (true, false) => child_removed[k].push(*id),
                             (false, true) => child_added[k].push(*id),
                             (false, false) => {}
                         }
                     }
-                    new_counts[k] = members.len() + child_added[k].len() - child_removed[k].len();
                 }
+                let new_counts: [usize; 4] = std::array::from_fn(|k| {
+                    members[k].len() + child_added[k].len() - child_removed[k].len()
+                });
                 let min_child = new_counts.iter().min().copied().unwrap_or(0);
                 let keep_split = new_members.len() > index.split_capacity()
                     && (min_child as f64) / (new_members.len() as f64)

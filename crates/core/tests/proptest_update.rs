@@ -1,13 +1,13 @@
 //! Property-based tests of the dynamic maintenance subsystem: for random
 //! update sequences (inserts, deletes, moves — applied in batches) across
-//! {IC, ICR} × {Uniform, GaussianSkew}, the incrementally maintained system
+//! {IC, ICR} × {Uniform, GaussianSkew, Rrlines}, the incrementally maintained system
 //! must be *bit-identical* to a cold full rebuild over the same object set —
 //! grid structure, leaf member lists, PNN probabilities, candidate counts —
 //! and the query engine's leaf cache must never serve a pre-update epoch.
 
 use proptest::prelude::*;
 use uv_core::{Method, UpdateBatch, UvConfig, UvSystem};
-use uv_data::{Dataset, GeneratorConfig, QueryBreakdown, UncertainObject};
+use uv_data::{Dataset, DatasetKind, GeneratorConfig, QueryBreakdown, UncertainObject};
 use uv_geom::Point;
 
 /// A configuration that keeps sensitivity bounds *local* at test-sized
@@ -27,10 +27,15 @@ fn build_case(n: usize, method_pick: u8, kind_pick: u8, sigma: f64, seed: u64) -
     } else {
         Method::ICR
     };
-    let generator = if kind_pick == 0 {
-        GeneratorConfig::paper_uniform(n)
-    } else {
-        GeneratorConfig::paper_skewed(n, sigma)
+    let generator = match kind_pick {
+        0 => GeneratorConfig::paper_uniform(n),
+        1 => GeneratorConfig::paper_skewed(n, sigma),
+        // The dense-polyline stand-in (Table II's Rrlines), where Phase B
+        // indexing and grid repair dominate.
+        _ => GeneratorConfig {
+            kind: DatasetKind::Rrlines,
+            ..GeneratorConfig::paper_uniform(n)
+        },
     }
     .with_seed(seed);
     let dataset = Dataset::generate(generator);
@@ -103,56 +108,68 @@ fn op_strategy() -> impl Strategy<Value = Vec<RawOp>> {
     )
 }
 
+/// The maintenance oracle: after >= 50 random mixed update operations the
+/// maintained system equals a cold rebuild of its final object set —
+/// structurally (leaf regions and member lists, bit-exact) and on every PNN
+/// answer (probabilities and candidate counts, bit-exact), through both the
+/// sequential path and the batched engine; and the fresh engine's leaf cache
+/// carries the post-update epoch.
+fn assert_churn_matches_cold_rebuild(
+    mut sys: UvSystem,
+    raw_ops: &[RawOp],
+    batch_size: usize,
+    seed: u64,
+) {
+    let applied = churn(&mut sys, raw_ops, batch_size, 100_000);
+    assert!(applied >= 50, "sequence must mix at least 50 ops");
+    assert!(sys.epoch() > 0, "churn must bump the epoch");
+
+    let rebuilt = UvSystem::build(
+        sys.objects().to_vec(),
+        sys.domain(),
+        sys.method(),
+        *sys.config(),
+    )
+    .unwrap();
+    assert_eq!(canonical_leaves(&sys), canonical_leaves(&rebuilt));
+
+    let queries =
+        Dataset::generate(GeneratorConfig::paper_uniform(10)).query_points(24, seed ^ 0xd15c);
+    let maintained_batch = sys.pnn_batch(&queries);
+    for (q, batched) in queries.iter().zip(&maintained_batch) {
+        let a = sys.pnn(*q);
+        let b = rebuilt.pnn(*q);
+        assert_eq!(&a.probabilities, &b.probabilities);
+        assert_eq!(a.candidates_examined, b.candidates_examined);
+        // The engine path over the maintained index agrees bit-exactly
+        // with the rebuilt sequential path too.
+        assert_eq!(&batched.probabilities, &b.probabilities);
+        assert_eq!(batched.candidates_examined, b.candidates_examined);
+    }
+
+    // The leaf cache of any engine created now is tagged with the
+    // current epoch — a cache from before any update (epoch 0) is
+    // unreachable by construction, and the engine bypasses caches whose
+    // epoch mismatches the index.
+    let engine = sys.engine();
+    assert_eq!(engine.cache_epoch(), Some(sys.epoch()));
+    assert!(sys.epoch() > 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
 
-    /// The tentpole oracle: after >= 50 random mixed update operations the
-    /// maintained system equals a cold rebuild of its final object set —
-    /// structurally (leaf regions and member lists, bit-exact) and on every
-    /// PNN answer (probabilities and candidate counts, bit-exact), through
-    /// both the sequential path and the batched engine; and the fresh
-    /// engine's leaf cache carries the post-update epoch.
+    /// The tentpole oracle ([`assert_churn_matches_cold_rebuild`]) across
+    /// {IC, ICR} × {Uniform, GaussianSkew, Rrlines}.
     #[test]
     fn random_update_sequences_match_cold_rebuild(
-        case in (60..110usize, 0..2u8, 0..2u8, 900.0..2_500.0f64, 0..10_000u64),
+        case in (60..110usize, 0..2u8, 0..3u8, 900.0..2_500.0f64, 0..10_000u64),
         raw_ops in op_strategy(),
         batch_size in 1..8usize,
     ) {
         let (n, method_pick, kind_pick, sigma, seed) = case;
-        let mut sys = build_case(n, method_pick, kind_pick, sigma, seed);
-        let applied = churn(&mut sys, &raw_ops, batch_size, 100_000);
-        prop_assert!(applied >= 50, "sequence must mix at least 50 ops");
-        prop_assert!(sys.epoch() > 0, "churn must bump the epoch");
-
-        let rebuilt = UvSystem::build(
-            sys.objects().to_vec(),
-            sys.domain(),
-            sys.method(),
-            *sys.config(),
-        ).unwrap();
-        prop_assert_eq!(canonical_leaves(&sys), canonical_leaves(&rebuilt));
-
-        let queries = Dataset::generate(GeneratorConfig::paper_uniform(10))
-            .query_points(24, seed ^ 0xd15c);
-        let maintained_batch = sys.pnn_batch(&queries);
-        for (q, batched) in queries.iter().zip(&maintained_batch) {
-            let a = sys.pnn(*q);
-            let b = rebuilt.pnn(*q);
-            prop_assert_eq!(&a.probabilities, &b.probabilities);
-            prop_assert_eq!(a.candidates_examined, b.candidates_examined);
-            // The engine path over the maintained index agrees bit-exactly
-            // with the rebuilt sequential path too.
-            prop_assert_eq!(&batched.probabilities, &b.probabilities);
-            prop_assert_eq!(batched.candidates_examined, b.candidates_examined);
-        }
-
-        // The leaf cache of any engine created now is tagged with the
-        // current epoch — a cache from before any update (epoch 0) is
-        // unreachable by construction, and the engine bypasses caches whose
-        // epoch mismatches the index.
-        let engine = sys.engine();
-        prop_assert_eq!(engine.cache_epoch(), Some(sys.epoch()));
-        prop_assert!(sys.epoch() > 0);
+        let sys = build_case(n, method_pick, kind_pick, sigma, seed);
+        assert_churn_matches_cold_rebuild(sys, &raw_ops, batch_size, seed);
     }
 
     /// Satellite: delete-then-reinsert of the same object is a perfect
@@ -160,7 +177,7 @@ proptest! {
     /// object's `cell_area` are bit-identical to the untouched system.
     #[test]
     fn delete_then_reinsert_is_bit_identical(
-        case in (60..110usize, 0..2u8, 0..2u8, 900.0..2_500.0f64, 0..10_000u64),
+        case in (60..110usize, 0..2u8, 0..3u8, 900.0..2_500.0f64, 0..10_000u64),
         victim_pick in 0..60usize,
     ) {
         let (n, method_pick, kind_pick, sigma, seed) = case;
@@ -201,7 +218,7 @@ proptest! {
     /// tombstones and append pages included.
     #[test]
     fn io_attribution_stays_exact_after_churn(
-        case in (60..110usize, 0..2u8, 0..2u8, 900.0..2_500.0f64, 0..10_000u64),
+        case in (60..110usize, 0..2u8, 0..3u8, 900.0..2_500.0f64, 0..10_000u64),
         raw_ops in prop::collection::vec(
             (0..3u8, 0..u16::MAX, 50.0..9_950.0f64, 50.0..9_950.0f64),
             20..30,
@@ -223,5 +240,23 @@ proptest! {
             prop_assert_eq!(total.index_io, sys.index().store().io().reads);
             prop_assert_eq!(total.object_io, sys.object_store().store().io().reads);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2, ..ProptestConfig::default() })]
+
+    /// The same oracle pinned to the dense-polyline stand-in, so every run
+    /// covers the input where Phase B indexing and grid repair dominate
+    /// (the random kind pick above may draw no dense-line case).
+    #[test]
+    fn dense_line_update_sequences_match_cold_rebuild(
+        case in (60..110usize, 0..2u8, 0..10_000u64),
+        raw_ops in op_strategy(),
+        batch_size in 1..8usize,
+    ) {
+        let (n, method_pick, seed) = case;
+        let sys = build_case(n, method_pick, 2, 0.0, seed);
+        assert_churn_matches_cold_rebuild(sys, &raw_ops, batch_size, seed);
     }
 }
